@@ -161,28 +161,6 @@ impl BitWriter {
         out.extend_from_slice(&self.bytes);
         self.reset();
     }
-
-    /// Appends every bit of `other` (which need not be byte-aligned) to
-    /// this writer, preserving the exact bit sequence. Used by the
-    /// slice-parallel encoder to splice per-row substreams back together
-    /// in deterministic order.
-    pub fn append(&mut self, other: &BitWriter) {
-        if self.pending == 0 {
-            self.bytes.extend_from_slice(&other.bytes);
-        } else {
-            let p = self.pending;
-            for &b in &other.bytes {
-                // `acc` holds `p` pending bits in its LOW bits; emit a
-                // byte made of those bits followed by the top 8-p bits
-                // of `b`, keeping b's low p bits as the new remainder.
-                self.bytes.push((self.acc << (8 - p)) | (b >> p));
-                self.acc = b & ((1u8 << p) - 1);
-            }
-        }
-        if other.pending > 0 {
-            self.put_bits(other.acc as u32, other.pending);
-        }
-    }
 }
 
 /// MSB-first bit reader over a byte slice.
@@ -407,35 +385,5 @@ mod tests {
         assert_eq!(w.bit_len(), 0, "writer must be reset");
         w.put_bit(true);
         assert_eq!(w.clone().finish(), vec![0b1000_0000]);
-    }
-
-    #[test]
-    fn append_is_bit_exact_at_every_alignment() {
-        // For every (head, tail) bit-length pair, writing the bits into
-        // one writer must equal writing them into two and splicing.
-        for head_bits in 0..17u32 {
-            for tail_bits in 0..17u32 {
-                let mut reference = BitWriter::new();
-                let mut head = BitWriter::new();
-                let mut tail = BitWriter::new();
-                for i in 0..head_bits {
-                    let bit = (i * 7 + 3) % 3 == 0;
-                    reference.put_bit(bit);
-                    head.put_bit(bit);
-                }
-                for i in 0..tail_bits {
-                    let bit = (i * 5 + 1) % 2 == 0;
-                    reference.put_bit(bit);
-                    tail.put_bit(bit);
-                }
-                head.append(&tail);
-                assert_eq!(head.bit_len(), reference.bit_len());
-                assert_eq!(
-                    head.finish(),
-                    reference.finish(),
-                    "mismatch at head={head_bits} tail={tail_bits}"
-                );
-            }
-        }
     }
 }

@@ -42,15 +42,12 @@ use crate::mbcode::{code_inter_mb, code_intra_mb, BlockCodeCfg};
 use crate::mc::LUMA_BLOCK;
 use crate::me::{self, MeConfig, MvCandidates};
 use crate::ops::OpCounts;
-use crate::par::{self, ParScratch};
 use crate::policy::{
-    FrameContext, FrameKind, FrozenMeBias, MbContext, MbOutcome, PostMeDecision, PreMeDecision,
-    RefreshPolicy,
+    FrameContext, FrameKind, MbContext, MbOutcome, PostMeDecision, PreMeDecision, RefreshPolicy,
 };
 use crate::quant::Qp;
 use crate::rde::{self, RdeCandidate, RdeConfig};
 use pbpair_media::{Frame, MbGrid, MbIndex, VideoFormat};
-use pbpair_sched::WorkStealingPool;
 use pbpair_telemetry::{Counter, Histogram, Stage, Telemetry};
 use pbpair_trace::{event as trace_event, Event as TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
@@ -61,8 +58,9 @@ pub const PICTURE_START_CODE: u32 = 1;
 pub const PICTURE_START_CODE_LEN: u32 = 17;
 
 /// Hot-path optimization switches. Every combination produces the exact
-/// same bitstream; these only trade CPU time. The defaults enable the
-/// single-threaded optimizations and keep encoding serial.
+/// same bitstream; these only trade CPU time. Encoding is always one
+/// serial raster pass over the macroblocks; the defaults enable both
+/// search/transform optimizations and auto kernel dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptConfig {
     /// Predicted-MV candidate seeding plus SAD early termination in the
@@ -75,14 +73,6 @@ pub struct OptConfig {
     /// three-pass pipeline.
     #[serde(default)]
     pub fused_transform: bool,
-    /// Number of slice-encoding threads. `0` and `1` both mean serial.
-    /// Values above 1 enable slice-parallel encoding *when the active
-    /// policy provides a frame-frozen ME bias*
-    /// ([`crate::policy::RefreshPolicy::frame_frozen_bias`]); otherwise
-    /// the encoder transparently falls back to serial. The assembled
-    /// bitstream is deterministic and independent of the thread count.
-    #[serde(default)]
-    pub slices: u8,
     /// Which SIMD pixel-kernel tier to dispatch through
     /// ([`crate::kernels`]). [`KernelChoice::Auto`] (the default) uses
     /// the process-wide active tier — the detected best, or the
@@ -93,13 +83,11 @@ pub struct OptConfig {
 }
 
 impl Default for OptConfig {
-    /// Fast ME and the fused transform on; serial (1 slice); auto kernel
-    /// dispatch.
+    /// Fast ME and the fused transform on; auto kernel dispatch.
     fn default() -> Self {
         OptConfig {
             fast_me: true,
             fused_transform: true,
-            slices: 1,
             kernels: KernelChoice::Auto,
         }
     }
@@ -107,13 +95,12 @@ impl Default for OptConfig {
 
 impl OptConfig {
     /// The retained naive reference path: no fast ME, no fused kernel,
-    /// serial, scalar pixel kernels. Benchmarks use this as the speedup
+    /// scalar pixel kernels. Benchmarks use this as the speedup
     /// baseline and the differential tests as the ground truth.
     pub fn naive() -> Self {
         OptConfig {
             fast_me: false,
             fused_transform: false,
-            slices: 1,
             kernels: KernelChoice::Scalar,
         }
     }
@@ -264,8 +251,8 @@ pub struct Encoder {
     /// Persistent bit writer, reused across frames (taken at frame start,
     /// restored after `finish_into`). Part of the zero-allocation loop.
     writer: BitWriter,
-    /// Scratch writer for RDE trial coding on the serial path (the
-    /// staged path carries one per row). Untouched when RDE is inactive.
+    /// Scratch writer for RDE trial coding. Untouched when RDE is
+    /// inactive.
     rde_scratch: BitWriter,
     /// Reusable reconstruction target: after each frame it holds the
     /// retired two-frames-ago reconstruction, whose every pixel is
@@ -277,12 +264,6 @@ pub struct Encoder {
     /// Integer MV of each macroblock coded so far in the current frame;
     /// seeds the spatial (left/top/top-right) candidates.
     cur_mvs: Vec<MotionVector>,
-    /// Slice-encoding worker pool, lazily created on the first frame that
-    /// engages the staged parallel path (`opt.slices > 1` and a policy
-    /// with a frame-frozen bias).
-    pool: Option<WorkStealingPool>,
-    /// Persistent per-row/per-MB scratch of the staged parallel path.
-    par: Option<ParScratch>,
 }
 
 /// Telemetry handles the encoder flushes once per encoded frame. All
@@ -359,8 +340,6 @@ impl Encoder {
             scratch_recon: Some(Frame::new(cfg.format)),
             prev_mvs: vec![MotionVector::ZERO; mbs],
             cur_mvs: vec![MotionVector::ZERO; mbs],
-            pool: None,
-            par: None,
         }
     }
 
@@ -426,9 +405,8 @@ impl Encoder {
 
     /// Encodes one frame into a caller-owned output slot, reusing its
     /// `data` and `mb_modes` buffers. In steady state (slot capacity
-    /// established, serial mode, no tracer) this performs **no heap
-    /// allocation** — the property `tests/alloc_count.rs` asserts with a
-    /// counting allocator.
+    /// established, no tracer) this performs **no heap allocation** — the
+    /// property `tests/alloc_count.rs` asserts with a counting allocator.
     ///
     /// # Panics
     ///
@@ -489,38 +467,16 @@ impl Encoder {
         let mut stats = FrameStats::default();
         out.mb_modes.clear();
 
-        // Slice-parallel encoding engages only when configured AND the
-        // policy can freeze its ME bias for the frame; otherwise the
-        // serial path runs (identical bitstream either way).
-        let frozen = if self.cfg.opt.slices > 1 && self.grid.rows() > 1 {
-            policy.frame_frozen_bias(&fctx)
-        } else {
-            None
-        };
-        if let Some(frozen) = frozen {
-            self.encode_mbs_staged(
-                frame,
-                policy,
-                &fctx,
-                kind,
-                &frozen,
-                &mut w,
-                &mut new_recon,
-                &mut stats,
-                out,
-            );
-        } else {
-            self.encode_mbs_serial(
-                frame,
-                policy,
-                &fctx,
-                kind,
-                &mut w,
-                &mut new_recon,
-                &mut stats,
-                out,
-            );
-        }
+        self.encode_mbs_serial(
+            frame,
+            policy,
+            &fctx,
+            kind,
+            &mut w,
+            &mut new_recon,
+            &mut stats,
+            out,
+        );
 
         if self.cfg.deblock {
             crate::deblock::deblock_frame(&mut new_recon, self.cfg.qp);
@@ -574,7 +530,7 @@ impl Encoder {
         self.frame_index += 1;
     }
 
-    /// The serial macroblock loop: one raster pass doing pre-ME, search,
+    /// The macroblock loop: one raster pass doing pre-ME, search,
     /// post-ME, and block coding per macroblock.
     #[allow(clippy::too_many_arguments)]
     fn encode_mbs_serial(
@@ -667,397 +623,6 @@ impl Encoder {
                 out.mb_modes.push(mode);
             }
         }
-    }
-
-    /// The slice-parallel macroblock loop: a five-stage pipeline that
-    /// produces a bitstream **bit-identical** to the serial path.
-    ///
-    /// 1. *serial* — colocated SADs and the policy's pre-ME decisions in
-    ///    raster order (so sequential policy state like PBPAIR's refresh
-    ///    cap replays exactly);
-    /// 2. *parallel rows* — motion search with the frame-frozen bias. The
-    ///    fast search's prepass candidates (zero, colocated-previous, the
-    ///    row's previous winner) only ever tighten the pruning bound and
-    ///    never select the winner, so the result is the same vector the
-    ///    serial search finds even though its candidate list differs —
-    ///    and it is row-local, making the operation count independent of
-    ///    the thread count;
-    /// 3. *serial* — the natural intra test and the policy's post-ME
-    ///    overrides in raster order;
-    /// 4. *parallel rows* — half-pel refinement, block coding into
-    ///    per-row writers, and per-row reconstruction;
-    /// 5. *serial* — row writers appended in order, then per-macroblock
-    ///    bookkeeping (trace, stats, policy observation, MV history) in
-    ///    raster order.
-    ///
-    /// Policy hooks run in the same per-hook order as the serial path;
-    /// the hooks are *interleaved* differently (all pre-ME before any
-    /// `mb_coded`), which is exactly what
-    /// [`RefreshPolicy::frame_frozen_bias`] certifies as safe.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_mbs_staged(
-        &mut self,
-        frame: &Frame,
-        policy: &mut dyn RefreshPolicy,
-        fctx: &FrameContext,
-        kind: FrameKind,
-        frozen: &FrozenMeBias,
-        w: &mut BitWriter,
-        new_recon: &mut Frame,
-        stats: &mut FrameStats,
-        out: &mut EncodedFrame,
-    ) {
-        let (rows, cols) = (self.grid.rows(), self.grid.cols());
-        if self.par.is_none() {
-            self.par = Some(ParScratch::new(self.cfg.format));
-        }
-        let workers = (self.cfg.opt.slices as usize).min(rows).max(1);
-        if self.pool.as_ref().map(|p| p.workers()) != Some(workers) {
-            self.pool = Some(WorkStealingPool::new(workers, rows.max(16)));
-        }
-        let mut par = self.par.take().expect("par scratch initialized above");
-
-        // Stage 1 (serial): content similarity + pre-ME decisions.
-        match kind {
-            FrameKind::Intra => {
-                for st in &mut par.mbs {
-                    *st = par::MbStage::default();
-                    st.force_intra = true;
-                }
-            }
-            FrameKind::Inter => {
-                for row in 0..rows {
-                    for col in 0..cols {
-                        let mb = MbIndex::new(row, col);
-                        let flat = row * cols + col;
-                        let (ox, oy) = mb.luma_origin();
-                        let colocated_sad = frame.y().sad_colocated(
-                            self.prev_original.y(),
-                            ox,
-                            oy,
-                            LUMA_BLOCK,
-                            LUMA_BLOCK,
-                        );
-                        self.ops.sad_ops += 256;
-                        let ctx = MbContext {
-                            frame_index: self.frame_index,
-                            mb,
-                            cur_luma: frame.y(),
-                            ref_luma: self.recon.y(),
-                            colocated_sad,
-                        };
-                        let st = &mut par.mbs[flat];
-                        st.colocated_sad = colocated_sad;
-                        st.force_intra = policy.pre_me_mode(&ctx) == PreMeDecision::ForceIntra;
-                        st.inter_mv = None;
-                    }
-                }
-            }
-        }
-
-        // Stage 2 (parallel rows): motion search with the frozen bias.
-        if kind == FrameKind::Inter {
-            let recon = &self.recon;
-            let prev_mvs = &self.prev_mvs;
-            let me_cfg = self.cfg.me;
-            let fast_me = self.cfg.opt.fast_me;
-            let kernels = self.kernels;
-            let ParScratch { mbs, rows: rowscr } = &mut par;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = mbs
-                .chunks_mut(cols)
-                .zip(rowscr.iter_mut())
-                .enumerate()
-                .map(|(row, (stages, rs))| {
-                    Box::new(move || {
-                        rs.ops = OpCounts::new();
-                        rs.me_invocations = 0;
-                        // The row's previous ME winner seeds the next
-                        // MB's pruning bound (the serial path uses the
-                        // median of coded neighbours instead; either list
-                        // is sound because the prepass cannot change the
-                        // winner).
-                        let mut left: Option<MotionVector> = None;
-                        for (col, st) in stages.iter_mut().enumerate() {
-                            if st.force_intra {
-                                left = None;
-                                continue;
-                            }
-                            let mb = MbIndex::new(row, col);
-                            let flat = row * cols + col;
-                            let mut cands = MvCandidates::default();
-                            if fast_me {
-                                cands.push_clamped(MotionVector::ZERO, me_cfg.search_range);
-                                cands.push_clamped(prev_mvs[flat], me_cfg.search_range);
-                                if let Some(lv) = left {
-                                    cands.push_clamped(lv, me_cfg.search_range);
-                                }
-                            }
-                            let mut bias = |mv: MotionVector| frozen(mb, mv);
-                            let me_result = if fast_me {
-                                me::search_fast_with(
-                                    kernels,
-                                    frame.y(),
-                                    recon.y(),
-                                    mb,
-                                    me_cfg,
-                                    &mut bias,
-                                    &cands,
-                                )
-                            } else {
-                                me::search_with(
-                                    kernels,
-                                    frame.y(),
-                                    recon.y(),
-                                    mb,
-                                    me_cfg,
-                                    &mut bias,
-                                )
-                            };
-                            rs.ops.me_invocations += 1;
-                            rs.me_invocations += 1;
-                            rs.ops.sad_candidates += me_result.candidates as u64;
-                            rs.ops.sad_ops += me_result.sad_ops;
-                            st.me = me_result;
-                            st.sad_self = me::sad_self(frame.y(), mb);
-                            rs.ops.sad_ops += 512; // mean + deviation pass
-                            left = Some(me_result.mv);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool
-                .as_ref()
-                .expect("pool initialized above")
-                .run_scoped(jobs);
-        }
-
-        // Stage 3 (serial): natural intra test + post-ME overrides.
-        if kind == FrameKind::Inter {
-            for row in 0..rows {
-                for col in 0..cols {
-                    let flat = row * cols + col;
-                    let st = &mut par.mbs[flat];
-                    if st.force_intra {
-                        continue;
-                    }
-                    let mb = MbIndex::new(row, col);
-                    let ctx = MbContext {
-                        frame_index: self.frame_index,
-                        mb,
-                        cur_luma: frame.y(),
-                        ref_luma: self.recon.y(),
-                        colocated_sad: st.colocated_sad,
-                    };
-                    let natural_intra = st.me.sad > st.sad_self + self.cfg.intra_bias as u64;
-                    let post = policy.post_me_mode(&ctx, &st.me);
-                    st.inter_mv = if natural_intra || post == PostMeDecision::ForceIntra {
-                        None
-                    } else {
-                        Some(st.me.mv)
-                    };
-                }
-            }
-        }
-
-        // Stage 4 (parallel rows): refinement + block coding into per-row
-        // writers and reconstruction bands.
-        {
-            let bcfg = self.block_cfg();
-            let recon = &self.recon;
-            let half_pel = self.cfg.half_pel;
-            let kernels = self.kernels;
-            let rde_cfg = self.active_rde();
-            let ParScratch { mbs, rows: rowscr } = &mut par;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = mbs
-                .chunks_mut(cols)
-                .zip(rowscr.iter_mut())
-                .enumerate()
-                .map(|(row, (stages, rs))| {
-                    Box::new(move || {
-                        rs.writer.reset();
-                        if kind == FrameKind::Intra {
-                            rs.ops = OpCounts::new();
-                            rs.me_invocations = 0;
-                        }
-                        for (col, st) in stages.iter_mut().enumerate() {
-                            let mb = MbIndex::new(row, col);
-                            let bit_start = rs.writer.bit_len();
-                            if kind == FrameKind::Intra {
-                                code_intra_mb(
-                                    &bcfg,
-                                    &mut rs.writer,
-                                    frame,
-                                    &mut rs.recon,
-                                    mb,
-                                    &mut rs.ops,
-                                );
-                                st.final_mode = MbMode::Intra;
-                                st.final_mv = MotionVector::ZERO;
-                                st.sad_mv = None;
-                            } else {
-                                // Baseline decision (what the serial
-                                // policy path produces), with half-pel
-                                // refinement when inter survived.
-                                let baseline = if let Some(int_mv) = st.inter_mv {
-                                    let (mv, sad) = if half_pel {
-                                        let refined = me::refine_half_pel_with(
-                                            kernels,
-                                            frame.y(),
-                                            recon.y(),
-                                            mb,
-                                            int_mv,
-                                            st.me.sad,
-                                        );
-                                        rs.ops.sad_ops += refined.sad_ops;
-                                        (refined.mv, refined.sad)
-                                    } else {
-                                        (SubPelVector::integer(int_mv), st.me.sad)
-                                    };
-                                    st.sad_mv = Some(sad);
-                                    RdeCandidate::Inter(mv)
-                                } else {
-                                    st.sad_mv = if st.force_intra {
-                                        None
-                                    } else {
-                                        Some(st.me.sad)
-                                    };
-                                    RdeCandidate::Intra
-                                };
-                                let final_mode = if let Some(rde_cfg) = &rde_cfg {
-                                    rde::choose_and_code_mb(
-                                        rde_cfg,
-                                        &bcfg,
-                                        &mut rs.writer,
-                                        &mut rs.rde_writer,
-                                        frame,
-                                        recon,
-                                        &mut rs.recon,
-                                        mb,
-                                        baseline,
-                                        &mut rs.ops,
-                                    )
-                                } else {
-                                    match baseline {
-                                        RdeCandidate::Inter(mv) => code_inter_mb(
-                                            &bcfg,
-                                            &mut rs.writer,
-                                            frame,
-                                            recon,
-                                            &mut rs.recon,
-                                            mb,
-                                            mv,
-                                            &mut rs.ops,
-                                        ),
-                                        _ => {
-                                            rs.writer.put_bit(false); // COD = 0: coded
-                                            rs.writer.put_bit(true); // intra
-                                            code_intra_mb(
-                                                &bcfg,
-                                                &mut rs.writer,
-                                                frame,
-                                                &mut rs.recon,
-                                                mb,
-                                                &mut rs.ops,
-                                            );
-                                            MbMode::Intra
-                                        }
-                                    }
-                                };
-                                st.final_mode = final_mode;
-                                st.final_mv = match (final_mode, baseline) {
-                                    (MbMode::Inter, RdeCandidate::Inter(mv)) => mv.int,
-                                    _ => MotionVector::ZERO,
-                                };
-                            }
-                            st.bit_start = bit_start;
-                            st.bit_len = rs.writer.bit_len() - bit_start;
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool
-                .as_ref()
-                .expect("pool initialized above")
-                .run_scoped(jobs);
-        }
-
-        // Stage 5 (serial): deterministic assembly in row order, then
-        // per-MB bookkeeping in raster order (matching the serial path's
-        // `mb_coded` sequence).
-        {
-            let ParScratch { mbs, rows: rowscr } = &mut par;
-            for (row, rs) in rowscr.iter_mut().enumerate() {
-                let row_start = w.bit_len();
-                w.append(&rs.writer);
-                self.ops += rs.ops;
-                self.frame_me_invocations += rs.me_invocations;
-                for col in 0..cols {
-                    let flat = row * cols + col;
-                    let st = &mbs[flat];
-                    let mb = MbIndex::new(row, col);
-                    let colocated_sad = if kind == FrameKind::Intra {
-                        let (ox, oy) = mb.luma_origin();
-                        let sad = frame.y().sad_colocated(
-                            self.prev_original.y(),
-                            ox,
-                            oy,
-                            LUMA_BLOCK,
-                            LUMA_BLOCK,
-                        );
-                        self.ops.sad_ops += 256;
-                        sad
-                    } else {
-                        st.colocated_sad
-                    };
-                    if let Some(t) = &self.trace {
-                        let (mode_code, mv) = match st.final_mode {
-                            MbMode::Intra => (trace_event::MODE_INTRA, MotionVector::ZERO),
-                            MbMode::Inter => (trace_event::MODE_INTER, st.final_mv),
-                            MbMode::Skip => (trace_event::MODE_SKIP, MotionVector::ZERO),
-                        };
-                        t.emit(TraceEvent::MbCoded {
-                            frame: self.frame_index as u32,
-                            mb: flat as u16,
-                            mode: mode_code,
-                            mv_x: mv.x,
-                            mv_y: mv.y,
-                            bit_start: (row_start + st.bit_start) as u32,
-                            bit_len: st.bit_len as u32,
-                        });
-                    }
-                    match st.final_mode {
-                        MbMode::Intra => {
-                            stats.intra_mbs += 1;
-                            stats.intra_bits += st.bit_len;
-                        }
-                        MbMode::Inter => {
-                            stats.inter_mbs += 1;
-                            stats.inter_bits += st.bit_len;
-                        }
-                        MbMode::Skip => {
-                            stats.skip_mbs += 1;
-                            stats.skip_bits += st.bit_len;
-                        }
-                    }
-                    out.mb_modes.push(st.final_mode);
-                    policy.mb_coded(
-                        fctx,
-                        &MbOutcome {
-                            mb,
-                            mode: st.final_mode,
-                            mv: st.final_mv,
-                            sad_mv: st.sad_mv,
-                            me_performed: kind == FrameKind::Inter && !st.force_intra,
-                            colocated_sad,
-                        },
-                    );
-                    self.cur_mvs[flat] = st.final_mv;
-                    self.last_mb_mv = st.final_mv;
-                }
-                par::copy_row_band(new_recon, &rs.recon, row);
-            }
-        }
-        self.par = Some(par);
     }
 
     /// The RDE configuration, only when it actually reprices decisions
@@ -1378,80 +943,6 @@ mod tests {
             fast.ops().sad_ops,
             naive.ops().sad_ops
         );
-    }
-
-    #[test]
-    fn slice_parallel_encoding_is_bit_identical_and_deterministic() {
-        // The staged pipeline must reproduce the serial bitstream exactly
-        // at every thread count, and its operation counts must not depend
-        // on the thread count (row-local candidate seeding).
-        let encode = |slices: u8| {
-            let mut enc = Encoder::new(EncoderConfig {
-                opt: OptConfig {
-                    slices,
-                    ..OptConfig::default()
-                },
-                ..EncoderConfig::default()
-            });
-            let mut policy = NaturalPolicy::new();
-            let mut seq = SyntheticSequence::foreman_class(21);
-            let frames: Vec<_> = (0..5)
-                .map(|_| enc.encode_frame(&seq.next_frame(), &mut policy))
-                .collect();
-            (frames, *enc.ops())
-        };
-        let (serial, _) = encode(1);
-        let (two, ops2) = encode(2);
-        let (four, ops4) = encode(4);
-        for i in 0..serial.len() {
-            assert_eq!(
-                serial[i].data, two[i].data,
-                "2 slices diverged at frame {i}"
-            );
-            assert_eq!(
-                serial[i].data, four[i].data,
-                "4 slices diverged at frame {i}"
-            );
-            assert_eq!(serial[i].stats, two[i].stats, "stats diverged at frame {i}");
-            assert_eq!(
-                serial[i].stats, four[i].stats,
-                "stats diverged at frame {i}"
-            );
-            assert_eq!(serial[i].mb_modes, two[i].mb_modes);
-            assert_eq!(serial[i].mb_modes, four[i].mb_modes);
-        }
-        assert_eq!(
-            ops2, ops4,
-            "operation counts must be independent of the thread count"
-        );
-    }
-
-    #[test]
-    fn slice_parallel_without_frozen_bias_falls_back_to_serial() {
-        // A policy that cannot freeze its bias (the default `None`) must
-        // still encode correctly with slices configured: the encoder
-        // silently takes the serial path.
-        struct Unfreezable;
-        impl RefreshPolicy for Unfreezable {
-            fn label(&self) -> String {
-                "unfreezable".into()
-            }
-        }
-        let mut parallel = Encoder::new(EncoderConfig {
-            opt: OptConfig {
-                slices: 4,
-                ..OptConfig::default()
-            },
-            ..EncoderConfig::default()
-        });
-        let mut serial = Encoder::new(EncoderConfig::default());
-        let mut seq_a = SyntheticSequence::foreman_class(22);
-        let mut seq_b = SyntheticSequence::foreman_class(22);
-        for i in 0..3 {
-            let a = parallel.encode_frame(&seq_a.next_frame(), &mut Unfreezable);
-            let b = serial.encode_frame(&seq_b.next_frame(), &mut Unfreezable);
-            assert_eq!(a, b, "fallback diverged at frame {i}");
-        }
     }
 
     #[test]

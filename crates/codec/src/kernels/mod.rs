@@ -154,7 +154,7 @@ type SadBoundedFn = fn(&[u8], usize, &[u8], usize, u64) -> (u64, u64);
 
 /// The kernel vtable: one function pointer per hot pixel loop. All
 /// pointers are plain `fn` items (`Send + Sync`), so a `&'static
-/// Kernels` flows freely into the slice-parallel row closures.
+/// Kernels` can be shared freely across threads.
 pub struct Kernels {
     tier: KernelTier,
     sad16: fn(&[u8], usize, &[u8], usize) -> u64,

@@ -56,7 +56,6 @@ pub(crate) mod mbcode;
 pub mod mc;
 pub mod me;
 pub mod ops;
-pub(crate) mod par;
 pub mod policy;
 pub mod quant;
 pub mod rate;

@@ -1,12 +1,10 @@
-//! Macroblock coding primitives shared by the serial and slice-parallel
-//! encoder paths.
+//! Macroblock coding primitives used by the encoder's macroblock loop
+//! and the joint RDE controller's trial coding.
 //!
 //! These are free functions over explicit references (current frame,
 //! prediction reference, output reconstruction, bit writer, op counter)
-//! rather than `Encoder` methods, for two reasons: the zero-allocation
-//! serial loop needs to borrow disjoint encoder fields simultaneously,
-//! and the slice-parallel path calls them from row jobs that only hold
-//! shared references to the encoder plus per-row mutable scratch.
+//! rather than `Encoder` methods, because the zero-allocation loop needs
+//! to borrow disjoint encoder fields simultaneously.
 //!
 //! All coefficient staging lives in fixed stack arrays (`[[i32; 64]; 6]`)
 //! — the steady-state encode loop performs no heap allocation here.

@@ -95,8 +95,7 @@ pub struct MbOutcome {
 }
 
 /// A frame-frozen snapshot of a policy's ME bias: a pure function of
-/// `(macroblock, candidate vector)` that is safe to evaluate from
-/// multiple slice-encoding threads at once. See
+/// `(macroblock, candidate vector)`. See
 /// [`RefreshPolicy::frame_frozen_bias`].
 pub type FrozenMeBias = Box<dyn Fn(MbIndex, MotionVector) -> i64 + Send + Sync>;
 
@@ -134,14 +133,14 @@ pub trait RefreshPolicy {
     }
 
     /// A thread-safe snapshot of [`RefreshPolicy::me_bias`] for the frame
-    /// about to be encoded, or `None` (the default) when the bias cannot
-    /// be frozen. Slice-parallel encoding is only engaged when this
-    /// returns `Some`: the parallel path calls the snapshot instead of
-    /// `me_bias`, so a policy must guarantee the snapshot returns exactly
-    /// what `me_bias` would have returned at any point during the frame
-    /// (i.e. its bias does not change mid-frame). Policies with a
-    /// mid-frame-mutating bias keep the `None` default and the encoder
-    /// transparently falls back to serial encoding.
+    /// about to be encoded, or `None` (the default).
+    ///
+    /// The encoder never calls this hook and no policy in the workspace
+    /// overrides it. It is kept only because the repository benchmark's
+    /// timing adaptor (`TimedPolicy` in `perfbench/src/ledger.rs`)
+    /// forwards it to the policy it wraps, and that file is held fixed
+    /// as the benchmark's definition. Remove it together with
+    /// [`FrozenMeBias`] once the benchmark drops the forwarding method.
     fn frame_frozen_bias(&self, ctx: &FrameContext) -> Option<FrozenMeBias> {
         let _ = ctx;
         None
@@ -181,10 +180,6 @@ impl NaturalPolicy {
 impl RefreshPolicy for NaturalPolicy {
     fn label(&self) -> String {
         "NO".to_string()
-    }
-
-    fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
-        Some(Box::new(|_, _| 0))
     }
 }
 

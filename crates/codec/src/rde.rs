@@ -302,10 +302,6 @@ fn code_candidate(
 /// winner is coded last, so the reconstruction the next stage sees is
 /// the chosen candidate's. Trial operations are tallied into a local
 /// scratch and discarded; only the final coding is charged to `ops`.
-///
-/// Every input is macroblock-local (the frame, the frozen reference, the
-/// baseline decision), so the choice is invariant to slice partitioning
-/// and worker count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn choose_and_code_mb(
     rde: &RdeConfig,

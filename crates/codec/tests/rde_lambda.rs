@@ -1,5 +1,5 @@
 //! Property tests of the λ-plane bisection and the cross-frame adapter,
-//! plus worker-count invariance of the RDE controller itself.
+//! plus bisection over the real encoder.
 //!
 //! The solver's contract ([`bisect_min_lambda`]): for any non-increasing
 //! `eval`, it terminates within the iteration cap (and within
@@ -17,8 +17,7 @@
 
 use pbpair_codec::policy::NaturalPolicy;
 use pbpair_codec::{
-    bisect_min_lambda, BisectOutcome, Encoder, EncoderConfig, FrameLambdaAdapter, OpCounts,
-    OptConfig, RdeConfig,
+    bisect_min_lambda, BisectOutcome, Encoder, EncoderConfig, FrameLambdaAdapter, RdeConfig,
 };
 use pbpair_media::synth::SyntheticSequence;
 use proptest::prelude::*;
@@ -146,50 +145,6 @@ proptest! {
             prop_assert_eq!(again, settled, "settled adapter drifted");
         }
     }
-}
-
-/// Encodes `frames` foreman frames with the given slice count and an
-/// *active* RDE configuration, returning per-frame bytes and the final
-/// cumulative op counts.
-fn encode_with_slices(slices: u8, frames: usize) -> (Vec<Vec<u8>>, OpCounts) {
-    let mut enc = Encoder::new(EncoderConfig {
-        rde: Some(RdeConfig {
-            lambda1_q16: 1 << 24,
-            lambda2_q16: 1 << 10,
-            ..RdeConfig::default()
-        }),
-        opt: OptConfig {
-            slices,
-            ..OptConfig::default()
-        },
-        ..EncoderConfig::default()
-    });
-    let mut policy = NaturalPolicy::new();
-    let mut seq = SyntheticSequence::foreman_class(77);
-    let mut out = Vec::with_capacity(frames);
-    for _ in 0..frames {
-        out.push(enc.encode_frame(&seq.next_frame(), &mut policy).data);
-    }
-    (out, *enc.ops())
-}
-
-/// The RDE decision is macroblock-local (frozen reference, λ-independent
-/// candidate set, integer cost), so the bitstream is byte-identical at
-/// 1, 2, and 8 slice workers even with both λ weights active — and the
-/// parallel path's op accounting is itself worker-count invariant.
-#[test]
-fn active_rde_is_invariant_across_slice_workers() {
-    let (serial, _) = encode_with_slices(1, 8);
-    let (two, ops_two) = encode_with_slices(2, 8);
-    let (eight, ops_eight) = encode_with_slices(8, 8);
-    for (i, f) in serial.iter().enumerate() {
-        assert_eq!(f, &two[i], "frame {i}: 1 vs 2 workers diverged");
-        assert_eq!(f, &eight[i], "frame {i}: 1 vs 8 workers diverged");
-    }
-    // Serial and staged paths may count ME pruning work differently
-    // (their prepass candidate lists differ by design), but the staged
-    // path's counts must not depend on the worker count.
-    assert_eq!(ops_two, ops_eight, "staged op counts vary with workers");
 }
 
 /// Bisection over the *real* encoder: find the minimal λ2 whose

@@ -22,8 +22,8 @@
 
 use crate::correctness::{CorrectnessMatrix, SimilarityModel};
 use pbpair_codec::{
-    FrameContext, FrameKind, FrameStats, FrozenMeBias, MbContext, MbMode, MbOutcome, MotionVector,
-    PreMeDecision, RefreshPolicy,
+    FrameContext, FrameKind, FrameStats, MbContext, MbMode, MbOutcome, MotionVector, PreMeDecision,
+    RefreshPolicy,
 };
 use pbpair_media::VideoFormat;
 use serde::{Deserialize, Serialize};
@@ -288,27 +288,6 @@ impl RefreshPolicy for PbpairPolicy {
             .matrix
             .sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
         (self.cfg.lambda * (1.0 - sigma_ref) * self.cfg.penalty_scale) as i64
-    }
-
-    fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
-        // The σ-penalty reads the *committed* (previous-frame) matrix,
-        // which is immutable for the duration of a frame — mid-frame
-        // `mb_coded` updates land in the write buffer and only become
-        // visible at `commit_frame`. A clone of the matrix taken at frame
-        // start therefore returns exactly what `me_bias` would at any
-        // point during the frame, making PBPAIR slice-parallel safe.
-        if self.cfg.lambda == 0.0 {
-            return Some(Box::new(|_, _| 0));
-        }
-        let matrix = self.matrix.clone();
-        let lambda = self.cfg.lambda;
-        let penalty_scale = self.cfg.penalty_scale;
-        Some(Box::new(move |mb, mv| {
-            let (ox, oy) = mb.luma_origin();
-            let sigma_ref =
-                matrix.sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
-            (lambda * (1.0 - sigma_ref) * penalty_scale) as i64
-        }))
     }
 
     fn mb_coded(&mut self, _ctx: &FrameContext, outcome: &MbOutcome) {

@@ -15,8 +15,7 @@
 //! through all macroblocks eventually.
 
 use pbpair_codec::{
-    FrameContext, FrameKind, FrozenMeBias, MbContext, MbOutcome, MeResult, PostMeDecision,
-    RefreshPolicy,
+    FrameContext, FrameKind, MbContext, MbOutcome, MeResult, PostMeDecision, RefreshPolicy,
 };
 use pbpair_media::{MbGrid, VideoFormat};
 
@@ -113,12 +112,6 @@ impl RefreshPolicy for AirPolicy {
         // criterion), colocated difference otherwise.
         let idx = self.grid.flat_index(outcome.mb);
         self.activity[idx] = outcome.sad_mv.unwrap_or(outcome.colocated_sad);
-    }
-
-    fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
-        // AIR never biases the search (its refresh map is a post-ME
-        // override fixed at `begin_frame`), so slices are safe.
-        Some(Box::new(|_, _| 0))
     }
 
     fn label(&self) -> String {

@@ -6,7 +6,7 @@
 //! I-frame spikes) and catastrophic loss behaviour when the I-frame itself
 //! is dropped (event e7: up to N consecutive frames unrecoverable).
 
-use pbpair_codec::{FrameContext, FrameKind, FrozenMeBias, RefreshPolicy};
+use pbpair_codec::{FrameContext, FrameKind, RefreshPolicy};
 
 /// The GOP-N policy. `GOP-N` in the paper's notation means an I:P ratio of
 /// 1:N — one I-frame, then N predictive frames.
@@ -66,11 +66,6 @@ impl RefreshPolicy for GopPolicy {
             self.since_intra += 1;
             FrameKind::Inter
         }
-    }
-
-    fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
-        // GOP never biases the search, so slice-parallel encoding is safe.
-        Some(Box::new(|_, _| 0))
     }
 
     fn label(&self) -> String {

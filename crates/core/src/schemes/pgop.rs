@@ -13,8 +13,8 @@
 //! skip ME).
 
 use pbpair_codec::{
-    FrameContext, FrameKind, FrozenMeBias, MbContext, MbOutcome, MeResult, PostMeDecision,
-    PreMeDecision, RefreshPolicy,
+    FrameContext, FrameKind, MbContext, MbOutcome, MeResult, PostMeDecision, PreMeDecision,
+    RefreshPolicy,
 };
 use pbpair_media::{MbGrid, VideoFormat};
 
@@ -148,16 +148,6 @@ impl RefreshPolicy for PgopPolicy {
         {
             self.refreshed[outcome.mb.col] = true;
         }
-    }
-
-    fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
-        // PGOP never biases the search. Its mid-frame state change (a
-        // window column flips to `refreshed` when its bottom MB codes)
-        // cannot alter any post-ME decision within the frame: window
-        // columns never reach post-ME (pre-ME forces them intra) and the
-        // stride-back scan treats window columns as clean regardless of
-        // the flag, so slices are safe.
-        Some(Box::new(|_, _| 0))
     }
 
     fn label(&self) -> String {

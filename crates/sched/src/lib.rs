@@ -20,10 +20,12 @@
 //! session manager leans on — a producer that outruns the fleet is
 //! stalled instead of ballooning the queues.
 //!
-//! The slice-parallel encoder borrows the same pool through
-//! [`WorkStealingPool::run_scoped`], which accepts non-`'static` jobs
-//! and blocks until every one of them has completed — a structured
-//! fork/join on top of the streaming scheduler.
+//! A panicking job does not take its worker down. The worker catches the
+//! panic at the job boundary, keeps the first payload, and carries on;
+//! [`WorkStealingPool::wait_idle`] re-raises that payload on the
+//! caller's thread once every other in-flight job has finished. A round
+//! barrier built on `wait_idle` therefore fails loudly instead of
+//! waiting forever for a job count that can no longer reach zero.
 //!
 //! Everything is `Mutex` + `Condvar`, in the same spirit as the
 //! crossbeam-free batch runner in `pbpair-eval`; the workspace is
@@ -49,6 +51,9 @@ struct Inner {
     /// Jobs executed by a worker other than the submit hint — how often
     /// stealing (or injector pickup) actually rebalanced load.
     migrated: u64,
+    /// The first panic caught since the last [`WorkStealingPool::wait_idle`]
+    /// re-raised one; later payloads are dropped.
+    panic: Option<Box<dyn std::any::Any + Send>>,
     shutdown: bool,
 }
 
@@ -79,7 +84,8 @@ struct PoolTelemetry {
 }
 
 /// Fixed-size work-stealing pool. Dropping the pool shuts it down and
-/// joins every worker (queued jobs still run first).
+/// joins every worker (queued jobs still run first); a job panic that no
+/// [`WorkStealingPool::wait_idle`] re-raised is dropped with it.
 pub struct WorkStealingPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -121,6 +127,7 @@ impl WorkStealingPool {
                 in_flight: 0,
                 submitted: 0,
                 migrated: 0,
+                panic: None,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -191,75 +198,21 @@ impl WorkStealingPool {
         self.shared.work.notify_all();
     }
 
-    /// Runs a batch of borrowing jobs to completion — a structured
-    /// fork/join. Each job is distributed round-robin across the
-    /// workers' deques and this call blocks until **all** of them have
-    /// finished, so the jobs may borrow from the caller's stack frame
-    /// (they need only be `Send`, not `'static`).
-    ///
-    /// If a job panics, the panic is captured and re-raised here (on the
-    /// caller's thread) after the remaining jobs finish; the pool stays
-    /// usable.
-    ///
-    /// # Safety argument
-    ///
-    /// Internally the jobs are transmuted to `'static` so they can ride
-    /// the ordinary [`Job`] queues. This is sound because the countdown
-    /// latch below guarantees every job has returned (or panicked and
-    /// been caught) before `run_scoped` returns, so no job outlives the
-    /// borrows it captured.
-    pub fn run_scoped<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        let total = jobs.len();
-        if total == 0 {
-            return;
-        }
-        // Countdown latch: (remaining, condvar) plus the first panic.
-        let latch = Arc::new((Mutex::new(total), Condvar::new()));
-        let panic_slot: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>> =
-            Arc::new(Mutex::new(None));
-        for (i, job) in jobs.into_iter().enumerate() {
-            // SAFETY: this call blocks on the latch until every wrapped
-            // job has completed, so the 'scope borrows captured by `job`
-            // strictly outlive its execution.
-            let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
-            let latch = Arc::clone(&latch);
-            let panic_slot = Arc::clone(&panic_slot);
-            self.submit_to(
-                i,
-                Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    if let Err(payload) = result {
-                        let mut slot = panic_slot.lock().expect("panic slot lock");
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                    }
-                    let (remaining, done) = &*latch;
-                    let mut n = remaining.lock().expect("latch lock");
-                    *n -= 1;
-                    if *n == 0 {
-                        done.notify_all();
-                    }
-                }),
-            );
-        }
-        let (remaining, done) = &*latch;
-        let mut n = remaining.lock().expect("latch lock");
-        while *n > 0 {
-            n = done.wait(n).expect("latch lock");
-        }
-        drop(n);
-        let payload = panic_slot.lock().expect("panic slot lock").take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-
     /// Blocks until every submitted job has finished.
+    ///
+    /// # Panics
+    ///
+    /// If a job panicked since the last call, re-raises the first such
+    /// panic's payload here, after all other in-flight jobs have
+    /// finished. The pool stays usable afterwards.
     pub fn wait_idle(&self) {
         let mut inner = self.shared.inner.lock().expect("pool lock");
         while inner.in_flight > 0 {
             inner = self.shared.idle.wait(inner).expect("pool lock");
+        }
+        if let Some(payload) = inner.panic.take() {
+            drop(inner);
+            resume_unwind(payload);
         }
     }
 
@@ -296,8 +249,11 @@ fn worker_loop(id: usize, shared: &Shared) {
         let job = find_job(id, shared);
         match job {
             Some((hint, job)) => {
-                job();
+                let result = catch_unwind(AssertUnwindSafe(job));
                 let mut inner = shared.inner.lock().expect("pool lock");
+                if let Err(payload) = result {
+                    inner.panic.get_or_insert(payload);
+                }
                 if hint != id {
                     inner.migrated += 1;
                     if let Some(t) = &shared.tel {
@@ -521,55 +477,71 @@ mod tests {
     }
 
     #[test]
-    fn run_scoped_borrows_from_caller_stack() {
-        let pool = WorkStealingPool::new(3, 32);
-        let mut rows = [0u64; 12];
-        {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = rows
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let job: Box<dyn FnOnce() + Send + '_> =
-                        Box::new(move || *slot = (i as u64 + 1) * 10);
-                    job
-                })
-                .collect();
-            pool.run_scoped(jobs);
-        }
-        for (i, v) in rows.iter().enumerate() {
-            assert_eq!(*v, (i as u64 + 1) * 10);
-        }
-    }
-
-    #[test]
-    fn run_scoped_empty_batch_is_a_noop() {
-        let pool = WorkStealingPool::new(1, 2);
-        pool.run_scoped(Vec::new());
-        assert_eq!(pool.jobs_submitted(), 0);
-    }
-
-    #[test]
-    fn run_scoped_propagates_panic_after_batch_completes() {
+    fn wait_idle_reraises_a_job_panic_after_the_other_jobs_finish() {
         let pool = WorkStealingPool::new(2, 16);
         let completed = Arc::new(AtomicUsize::new(0));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            jobs.push(Box::new(|| panic!("slice job failed")));
-            for _ in 0..4 {
-                let c = Arc::clone(&completed);
-                jobs.push(Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-            pool.run_scoped(jobs);
-        }));
-        assert!(result.is_err(), "panic must propagate to the caller");
+        // The injector is FIFO, so the panicking job is dequeued first.
+        // The other jobs wait for it to open the gate, so every one of
+        // them finishes after the panic has been caught.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        {
+            let gate = Arc::clone(&gate);
+            pool.submit(Box::new(move || {
+                let (open, cv) = &*gate;
+                *open.lock().unwrap() = true;
+                cv.notify_all();
+                panic!("session job failed");
+            }));
+        }
+        for _ in 0..8 {
+            let c = Arc::clone(&completed);
+            let gate = Arc::clone(&gate);
+            pool.submit(Box::new(move || {
+                let (open, cv) = &*gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                c.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| pool.wait_idle()));
+        let payload = result.expect_err("the job panic must reach wait_idle");
         assert_eq!(
-            completed.load(Ordering::Relaxed),
-            4,
-            "non-panicking jobs still ran"
+            payload.downcast_ref::<&str>(),
+            Some(&"session job failed"),
+            "wait_idle re-raises the job's own payload"
         );
-        // The pool survives a panicking batch.
-        pool.run_scoped(vec![Box::new(|| {})]);
+        assert_eq!(
+            completed.load(Ordering::SeqCst),
+            8,
+            "every other job finished before the panic was re-raised"
+        );
+
+        // The panic was consumed: the next barrier returns normally and
+        // the pool keeps running work.
+        pool.wait_idle();
+        for i in 0..8 {
+            let c = Arc::clone(&completed);
+            pool.submit_to(
+                i,
+                Box::new(move || {
+                    c.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+        }
+        pool.wait_idle();
+        assert_eq!(completed.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    fn only_the_first_of_several_panics_is_reraised() {
+        let pool = WorkStealingPool::new(1, 8);
+        pool.submit(Box::new(|| panic!("first")));
+        pool.submit(Box::new(|| panic!("second")));
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| pool.wait_idle()))
+            .expect_err("a job panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"first"));
+        pool.wait_idle();
     }
 }
